@@ -2,17 +2,18 @@
 
 ``simulate`` follows a single trajectory of the full two-firm map until it
 enters an eps-ball around one of the four vertices. ``compute_basins``
-classifies a whole grid of starting points with a vectorized kernel that
-iterates all not-yet-converged cells at once, optionally split into row
-bands across worker threads (the per-cell arithmetic is elementwise, so
-the raster is identical for any thread count). ``staircase`` tabulates
+classifies a whole grid of starting points with one single-threaded,
+vectorized kernel that iterates all not-yet-converged cells at once. It
+iterates only the half ``i <= j`` of the grid and mirrors it, since the map
+is exactly swap-equivariant, and retires cells early once they lie in a
+proven trapping box of an attracting vertex. ``staircase`` tabulates
 (eta_t, eta_{t+1}) pairs for the one-population maps.
 """
 
 from __future__ import annotations
 
+import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
@@ -24,13 +25,15 @@ from .model_core import (
     ModelParams,
     Params1D,
     State,
+    _bounded_exp,
     derived_coefficients,
     step_adjusted_1d,
     step_classic_1d,
     step_full,
 )
 
-#: Environment variable capping worker threads for basin rasters (0 = auto).
+#: Former raster thread-count variable; the raster ignores it (see
+#: resolve_thread_count).
 THREADS_ENV_VAR = "REPLICATOR_LAB_THREADS"
 
 
@@ -125,16 +128,119 @@ def simulate(
     return (Outcome(OutcomeCode.NON_CONVERGENT, max_iter), trajectory)
 
 
+#: GB<->BG swap of outcome codes: cell (j, i) holds _SWAP_CODES[cell (i, j)].
+_SWAP_CODES = np.array([0, 1, 3, 2, 4], dtype=np.uint8)
+
+#: Trapping-box radii tried per vertex, largest first, and the largest
+#: per-step contraction bound a box may have.
+_BOX_RADII = (0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002)
+_BOX_MAX_RATE = 0.995
+
+#: Bound on the absolute float64 error of one kernel step (a few ulps of a
+#: value <= 1) and of the kernel's ``1 - eps`` and ``1 - r`` thresholds.
+_STEP_ERROR = 2.0**-50
+
+#: The box test runs only for the first _BOX_LAST_STEP steps and while at
+#: least _BOX_MIN_ACTIVE cells are active. By then the cells near attractors
+#: are gone, and on small arrays each extra numpy call costs its fixed
+#: overhead while retiring almost nothing.
+_BOX_LAST_STEP = 256
+_BOX_MIN_ACTIVE = 512
+
+
+@dataclass(frozen=True)
+class _TrappingBox:
+    """Max-norm box of ``radius`` around the vertex of ``code``.
+
+    One map step sends the box into itself and shrinks the distance to the
+    vertex by a factor of at most ``rate``, so a cell in the box enters the
+    vertex's eps-ball within ``steps`` steps and cannot meet another vertex.
+    """
+
+    code: OutcomeCode
+    radius: float
+    rate: float
+    steps: int
+
+    def contains(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        vx, vy = OUTCOME_VERTICES[self.code]
+        in_x = x >= 1.0 - self.radius if vx else x <= self.radius
+        in_y = y >= 1.0 - self.radius if vy else y <= self.radius
+        return in_x & in_y
+
+
+def _coordinate_rate(params: ModelParams, own: float, other: float, r: float) -> float:
+    """Contraction bound of one coordinate within ``r`` of the vertex value ``own``.
+
+    With ``u = a*other_state + b`` the gap, ``e1 = exp(beta*(u - c_b))`` and
+    ``e2 = exp(beta*(u + c_g))``, the map satisfies exactly::
+
+        1 - x' = (1 - x) * [x*e1/(x + (1-x)*e1) + (1-x)*e2/(x + (1-x)*e2)]
+            x' = x * [x/(x + (1-x)*e1) + (1-x)/(x + (1-x)*e2)]
+
+    For ``1 - x <= r`` the first bracket is at most ``e1 + r/(1-r)*e2``; for
+    ``x <= r`` the second is at most ``1/e2 + r/((1-r)*e1)``. Both are
+    monotone in ``u``, so the bound takes ``u`` at the worst end of
+    ``a*[opponent interval] + b``, with the opponent within ``r`` of ``other``.
+    """
+    a, b = derived_coefficients(params)
+    c_g, c_b, beta = params.costs.c_g, params.costs.c_b, params.beta
+    far = other - r if other else other + r
+    if own:
+        u = max(a * other + b, a * far + b)
+        return _bounded_exp(beta * (u - c_b)) + r / (1.0 - r) * _bounded_exp(beta * (u + c_g))
+    u = min(a * other + b, a * far + b)
+    return 1.0 / _bounded_exp(beta * (u + c_g)) + r / (
+        (1.0 - r) * _bounded_exp(beta * (u - c_b))
+    )
+
+
+def _trapping_boxes(params: ModelParams, eps: float) -> list[_TrappingBox]:
+    """The largest trapping box with rate <= _BOX_MAX_RATE at each vertex that has one.
+
+    Only an attracting vertex can have one, since both coordinates must
+    contract. The budget ``steps = ceil(log(eps/r)/log(rate)) + 2`` brings
+    the exact distance bound down to ``rate**steps * r <= rate**2 * eps``,
+    below eps by ``(1 - rate**2) * eps >= (1 - rate) * eps``, which is 5e-9
+    for the default eps. Those two spare steps absorb float64 rounding: one
+    kernel step is off by at most _STEP_ERROR (~1e-16 in practice) in
+    absolute terms, so after t steps the distance is at most
+    ``rate**t * r + _STEP_ERROR / (1 - rate)``, which adds 2e-13 at most. A
+    box is kept only if that total stays below eps less the rounding of the
+    kernel's ``1 - eps`` threshold, which can fail only for eps below 2e-11.
+    The same slack keeps the box invariant in float64: ``(1 - rate) * r >=
+    1e-5`` dwarfs one step's error and the rounding of ``1 - r``.
+    """
+    boxes = []
+    for code, (vx, vy) in OUTCOME_VERTICES.items():
+        for r in _BOX_RADII:
+            if r <= eps:
+                break
+            rate = max(_coordinate_rate(params, vx, vy, r), _coordinate_rate(params, vy, vx, r))
+            if rate <= _BOX_MAX_RATE:
+                steps = math.ceil(math.log(eps / r) / math.log(rate)) + 2
+                reach = rate**steps * r + _STEP_ERROR / (1.0 - rate)
+                if reach < eps - _STEP_ERROR:
+                    boxes.append(_TrappingBox(code, r, rate, steps))
+                break
+    return boxes
+
+
 def _iterate_grid(
     params: ModelParams, x0: np.ndarray, y0: np.ndarray, eps: float, max_iter: int
 ) -> np.ndarray:
     """Vectorized outcome codes for a batch of starting points.
 
     Keeps an active set of unconverged cells and applies the map to the
-    whole set each iteration, so converged cells stop costing work.
+    whole set each iteration, so converged cells stop costing work. After
+    the eps check at step ``t``, an active cell inside a vertex's trapping
+    box is retired with that vertex's code when ``t + box.steps <=
+    max_iter``: it would enter the eps-ball within the budget anyway, so the
+    codes equal those of plain iteration.
     """
     a, b = derived_coefficients(params)
     c_g, c_b, beta = params.costs.c_g, params.costs.c_b, params.beta
+    boxes = _trapping_boxes(params, eps)
 
     n = x0.size
     codes = np.full(n, OutcomeCode.NON_CONVERGENT.value, dtype=np.uint8)
@@ -154,7 +260,8 @@ def _iterate_grid(
         near_1y = y > 1.0 - eps
         near_0y = y < eps
         done = (near_1x | near_0x) & (near_1y | near_0y)
-        if done.any():
+        retired = bool(done.any())
+        if retired:
             hit = np.where(done)[0]
             cell_codes = np.where(
                 near_1x[hit],
@@ -162,6 +269,16 @@ def _iterate_grid(
                 np.where(near_1y[hit], OutcomeCode.TO_BG.value, OutcomeCode.TO_BB.value),
             )
             codes[alive[hit]] = cell_codes.astype(np.uint8)
+        if t < _BOX_LAST_STEP and alive.size >= _BOX_MIN_ACTIVE:
+            for box in boxes:
+                if t + box.steps > max_iter:
+                    continue
+                inside = box.contains(x, y)
+                if inside.any():
+                    codes[alive[inside]] = box.code.value
+                    done |= inside
+                    retired = True
+        if retired:
             keep = ~done
             x, y, alive = x[keep], y[keep], alive[keep]
         if t == max_iter or alive.size == 0:
@@ -173,7 +290,11 @@ def _iterate_grid(
 
 
 def resolve_thread_count() -> int:
-    """Worker count for basin rasters, from the environment (0 = auto)."""
+    """Worker count from REPLICATOR_LAB_THREADS (0 = auto).
+
+    The basin raster is single-threaded and ignores this setting; the
+    function stays for callers that record it.
+    """
     raw = os.environ.get(THREADS_ENV_VAR, "0").strip() or "0"
     try:
         value = int(raw)
@@ -198,35 +319,23 @@ def compute_basins(
 ) -> BasinRaster:
     """Classify every cell of a resolution x resolution grid of starts.
 
-    Cell (i, j) starts at the cell center ((i+0.5)/res, (j+0.5)/res). Rows
-    are split into contiguous bands processed by a thread pool sized by the
-    REPLICATOR_LAB_THREADS environment variable; cells are independent, so
-    the result does not depend on the banding.
+    Cell (i, j) starts at the cell center ((i+0.5)/res, (j+0.5)/res). The
+    map is exactly swap-equivariant in float64, so only the cells with
+    ``i <= j`` are iterated, in one single-threaded pass; cell (j, i) gets
+    the mirror image of cell (i, j)'s code (ToGB and ToBG exchanged). Cells
+    that reach a proven trapping box of an attracting vertex early are
+    retired there, with the code plain iteration would give them.
     """
     if resolution < 16:
         raise ValidationError(f"resolution must be >= 16, got {resolution!r}")
     _check_solver_args(eps, max_iter)
 
     centers = (np.arange(resolution) + 0.5) / resolution
+    rows, cols = np.triu_indices(resolution)
+    codes = _iterate_grid(params, centers[rows], centers[cols], eps, max_iter)
     cells = np.empty((resolution, resolution), dtype=np.uint8)
-
-    threads = min(resolve_thread_count(), resolution)
-    bounds = np.linspace(0, resolution, threads + 1).astype(int)
-    bands = [(bounds[k], bounds[k + 1]) for k in range(threads) if bounds[k] < bounds[k + 1]]
-
-    def run_band(lo: int, hi: int) -> tuple[int, int, np.ndarray]:
-        x = np.repeat(centers[lo:hi], resolution)
-        y = np.tile(centers, hi - lo)
-        codes = _iterate_grid(params, x, y, eps, max_iter)
-        return (lo, hi, codes.reshape(hi - lo, resolution))
-
-    if len(bands) <= 1:
-        lo, hi, block = run_band(0, resolution)
-        cells[lo:hi] = block
-    else:
-        with ThreadPoolExecutor(max_workers=len(bands)) as pool:
-            for lo, hi, block in pool.map(lambda br: run_band(*br), bands):
-                cells[lo:hi] = block
+    cells[rows, cols] = codes
+    cells[cols, rows] = _SWAP_CODES[codes]
 
     return BasinRaster(
         resolution=resolution,

@@ -88,6 +88,11 @@ def _fixed_point_residual(params: ModelParams, s: State) -> float:
     return max(abs(nxt.eta1 - s.eta1), abs(nxt.eta2 - s.eta2))
 
 
+#: The interior doubles closest to 0 and to 1.
+_TINY = math.ulp(0.0)
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+
+
 def _clamped_expm1(z: float) -> float:
     return math.expm1(min(max(z, -EXP_CLAMP), EXP_CLAMP))
 
@@ -109,7 +114,15 @@ def _eta_inner(delta: float, c_g: float, c_b: float, beta: float) -> float | Non
         return None
     n_green = _clamped_expm1(beta * (delta + c_g))
     n_brown = _clamped_expm1(beta * (-delta + c_b))
-    return n_green / (n_green + n_brown)
+    if n_green + n_brown == 0.0:
+        # Both products underflowed to zero; expm1(z) ~ z there, and beta
+        # cancels from the quotient.
+        n_green, n_brown = delta + c_g, -delta + c_b
+    # The exact root can lie closer to 0 or 1 than any double in (0, 1)
+    # (e.g. c_b = 1e-45 puts it at 1 - ~1e-45), and the quotient then rounds
+    # onto the vertex. Clamp it to the nearest interior doubles so that the
+    # root exists exactly on the window above and is never a vertex.
+    return min(max(n_green / (n_green + n_brown), _TINY), _BELOW_ONE)
 
 
 def vertex_equilibria() -> list[Equilibrium]:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from replicator_lab import (
     BasinRaster,
@@ -21,13 +23,19 @@ from replicator_lab import (
     simulate,
     staircase,
     step_adjusted_1d,
+    step_full,
 )
+from replicator_lab import basins as basins_mod
 from replicator_lab.basins import OUTCOME_VERTICES, THREADS_ENV_VAR
 
 from conftest import (
+    CYCLE_SET,
+    MULTI_DIAGONAL_SET,
+    MULTI_INNER_SET,
     ONE_POP_HIGH_BROWN,
     ONE_POP_MID_BROWN,
     SCENARIO_SETS,
+    model_params_st,
 )
 
 SWAP_CODE = {
@@ -172,6 +180,48 @@ def test_basin_area_ordering_matches_regime():
     assert risky[OutcomeCode.TO_BB] > risky[OutcomeCode.TO_GG]
     green = basin_areas(compute_basins(SCENARIO_SETS["S6"], resolution=64, max_iter=3000))
     assert green[OutcomeCode.TO_GG] > green[OutcomeCode.TO_BB]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    params=model_params_st(),
+    resolution=st.integers(min_value=40, max_value=64),
+    max_iter=st.integers(min_value=50, max_value=1500),
+    eps=st.sampled_from([1e-6, 1e-3, 1e-16]),
+)
+# At eps = 1e-16 float64 rounding can stall a trajectory one ulp short of
+# a vertex, so a box must not claim it.
+@example(params=SCENARIO_SETS["S1"], resolution=48, max_iter=1500, eps=1e-16)
+def test_raster_equals_box_free_full_grid(params, resolution, max_iter, eps):
+    raster = compute_basins(params, resolution=resolution, eps=eps, max_iter=max_iter)
+    centers = (np.arange(resolution) + 0.5) / resolution
+    x, y = np.meshgrid(centers, centers, indexing="ij")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(basins_mod, "_trapping_boxes", lambda *args: [])
+        plain = basins_mod._iterate_grid(params, x, y, eps, max_iter)
+    assert np.array_equal(raster.cells, plain.reshape(resolution, resolution))
+
+
+def test_trapping_boxes_are_invariant_and_contracting():
+    rng = np.random.default_rng(11)
+    sets = [*SCENARIO_SETS.values(), MULTI_INNER_SET, MULTI_DIAGONAL_SET, CYCLE_SET]
+    checked = 0
+    for params in sets:
+        for box in basins_mod._trapping_boxes(params, 1e-6):
+            vx, vy = OUTCOME_VERTICES[box.code]
+            assert box.rate <= 0.995
+            # Corners of the box, then uniform draws inside it.
+            offsets = [(box.radius, box.radius), (box.radius, 0.0), (0.0, box.radius)]
+            offsets += [tuple(d) for d in rng.uniform(0.0, box.radius, size=(40, 2))]
+            for dx, dy in offsets:
+                s0 = State(abs(vx - dx), abs(vy - dy))
+                s1 = step_full(params, s0)
+                d0 = max(abs(s0.eta1 - vx), abs(s0.eta2 - vy))
+                d1 = max(abs(s1.eta1 - vx), abs(s1.eta2 - vy))
+                assert d1 <= box.radius
+                assert d1 <= box.rate * d0 + 1e-15
+                checked += 1
+    assert checked > 0
 
 
 # ---------------------------------------------------------------------------

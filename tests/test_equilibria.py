@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from replicator_lab import (
     DomainError,
@@ -181,6 +181,8 @@ def test_inner_equilibrium_matches_bisection():
 
 
 @given(p=params_1d_st())
+@example(p=Params1D.from_values(1.0, 1.0, 1.0, 1.4e-45, 1.0))
+@example(p=Params1D.from_values(1.0, 1.0, 1.0, 1.175494351e-38, 1.0))
 def test_inner_equilibrium_is_interior_fixed_point_when_present(p):
     eta = inner_equilibrium_1d(p)
     if eta is not None:
@@ -189,6 +191,7 @@ def test_inner_equilibrium_is_interior_fixed_point_when_present(p):
 
 
 @given(p=params_1d_st())
+@example(p=Params1D.from_values(1.0, 1.0, 5e-324, 5e-324, 0.5))
 def test_inner_equilibrium_satisfies_defining_balance(p):
     # The closed form solves eta * expm1(beta*(-delta + c_b)) ==
     # (1 - eta) * expm1(beta*(delta + c_g)) with delta = pi_b - pi_g.

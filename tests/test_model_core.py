@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from replicator_lab import (
@@ -226,12 +226,20 @@ def test_step_adjusted_stays_in_unit_interval(p, eta):
 
 
 @given(p=params_1d_st(), eta=st.floats(min_value=1e-3, max_value=1 - 1e-3))
+@example(p=Params1D.from_values(0.5 + 2.0**-53, 0.5, 0.0, 0.0, 1.0), eta=0.5)
+@example(p=Params1D.from_values(0.5, 0.5 + 2.0**-53, 0.0, 0.0, 1.0), eta=0.5)
 def test_classic_flow_moves_toward_more_profitable_technology(p, eta):
     nxt = step_classic_1d(p, eta)
+    # A move below half an ulp of eta rounds back to eta under any formula,
+    # so the strict direction is asserted only where the first-order move
+    # eta*(1-eta)*beta*|pi_g - pi_b| is several ulps.
+    strict = eta * (1.0 - eta) * p.beta * abs(p.pi_g - p.pi_b) > 4.0 * math.ulp(eta)
     if p.pi_g > p.pi_b:
-        assert nxt > eta
+        assert nxt >= eta
+        assert nxt > eta or not strict
     elif p.pi_g < p.pi_b:
-        assert nxt < eta
+        assert nxt <= eta
+        assert nxt < eta or not strict
     else:
         assert nxt == pytest.approx(eta, abs=1e-15)
 
