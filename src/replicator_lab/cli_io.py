@@ -29,6 +29,7 @@ from .basins import (
 )
 from .equilibria import (
     Equilibrium,
+    EquilibriumKind,
     edge_equilibria,
     find_diagonal_equilibria,
     find_inner_equilibria,
@@ -39,7 +40,6 @@ from .equilibria import (
 from .errors import (
     InternalError,
     KnifeEdgeError,
-    NonConvergenceError,
     ParseError,
     ReplicatorLabError,
     ValidationError,
@@ -432,17 +432,14 @@ def _equilibrium_rows(params: ModelParams, scan_resolution: int) -> dict[str, li
     for eq in edge_equilibria(params):
         add(eq, edge_eigenvalues(params, eq.kind))
 
-    interior: list[Equilibrium] = list(find_diagonal_equilibria(params))
-    seen = [(eq.location.eta1, eq.location.eta2) for eq in interior]
-    for eq in find_inner_equilibria(params, scan_resolution):
-        if any(
-            max(abs(eq.location.eta1 - x), abs(eq.location.eta2 - y)) <= 1e-6
-            for x, y in seen
-        ):
-            continue
-        interior.append(eq)
-        seen.append((eq.location.eta1, eq.location.eta2))
-    for eq in interior:
+    # Diagonal points come from the diagonal finder, whose roots of B - id
+    # are refined to DIAGONAL_REFINE_TOL; the inner finder reports the same
+    # points as roots of B(B(y)) - y and adds only the off-diagonal ones.
+    off_diagonal = [
+        eq for eq in find_inner_equilibria(params, scan_resolution)
+        if eq.kind is EquilibriumKind.OFF_DIAGONAL_INNER
+    ]
+    for eq in find_diagonal_equilibria(params) + off_diagonal:
         add(eq, stability_at(params, eq.location))
     return rows
 
@@ -597,7 +594,7 @@ def dispatch(command: str, config: RunConfig, out_dir: str | Path = ".") -> int:
     try:
         handler(config, Path(out_dir))
         return 0
-    except (InternalError, NonConvergenceError):
+    except InternalError:
         raise
     except ReplicatorLabError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,9 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from .errors import DomainError, KnifeEdgeError, ValidationError
+from .errors import DomainError, KnifeEdgeError
 from .model_core import (
     EXP_CLAMP,
     ModelParams,
@@ -39,6 +37,9 @@ MERGE_TOL = 1e-6
 
 #: An interior point this close to the diagonal is classified as diagonal.
 DIAGONAL_TOL = 1e-9
+
+#: A root this close to the boundary is an edge point, not an interior one.
+EDGE_TOL = 1e-9
 
 
 class EquilibriumKind(Enum):
@@ -241,45 +242,78 @@ def _merge_sorted(values: list[float], tol: float = MERGE_TOL) -> list[float]:
     return merged
 
 
-def find_diagonal_equilibria(
-    params: ModelParams, *, scan_resolution: int = 1024
-) -> list[Equilibrium]:
-    """Interior fixed points of the full map on the diagonal, sorted ascending.
+def _scan_roots(f, n: int, *, closed: bool) -> list[float]:
+    """Roots of ``f`` from a sign scan on the grid ``i/n``, refined by bisection.
 
-    Scans the one-step defect of the diagonal restriction on an interior
-    grid and refines every sign change by bisection. The vertices (always
-    fixed) are excluded. Every returned point is refined to residual
-    <= DIAGONAL_REFINE_TOL (tighter than the generic reporting bound).
+    The grid is ``0, 1/n, ..., 1`` when ``closed`` and the interior points
+    ``1/n, ..., (n-1)/n`` otherwise. A grid point where ``f`` is exactly
+    zero is returned as it is; every sign change between neighbours is
+    bisected. The result is in grid order and may hold a root twice.
+    Raises DomainError when ``n < 64``.
     """
-    if scan_resolution < 64:
-        raise DomainError(f"scan_resolution must be >= 64, got {scan_resolution}")
-
-    def defect(eta: float) -> float:
-        return _diagonal_step(params, eta) - eta
-
-    n = scan_resolution
-    grid = [i / n for i in range(1, n)]
-    values = [defect(x) for x in grid]
-
+    if n < 64:
+        raise DomainError(f"scan_resolution must be >= 64, got {n}")
+    first = 0 if closed else 1
+    grid = [i / n for i in range(first, n + 1 - first)]
+    values = [f(x) for x in grid]
     roots: list[float] = []
     for k in range(len(grid) - 1):
         f0, f1 = values[k], values[k + 1]
         if f0 == 0.0:
             roots.append(grid[k])
         elif (f0 < 0.0) != (f1 < 0.0):
-            roots.append(_bisect(defect, grid[k], grid[k + 1], f0))
+            roots.append(_bisect(f, grid[k], grid[k + 1], f0))
     if values and values[-1] == 0.0:
         roots.append(grid[-1])
+    return roots
 
-    # Symmetric-threshold parameters pin the midpoint exactly; guarantee it
-    # is reported even if the scan refinement landed slightly off.
-    p, c = params.payoffs, params.costs
-    if p.pi_gg - c.c_g - p.pi_bg == p.pi_bb - c.c_b - p.pi_gb:
-        if abs(defect(0.5)) <= DIAGONAL_REFINE_TOL:
-            roots.append(0.5)
+
+def _rest_point_map(params: ModelParams):
+    """``B(y) = _eta_inner(a*y + b)``, extended continuously to all of [0, 1]
+    by 0 where ``a*y + b <= -c_g`` and 1 where ``a*y + b >= c_b``."""
+    a, b = derived_coefficients(params)
+    c_g, c_b, beta = params.costs.c_g, params.costs.c_b, params.beta
+
+    def rest_point(y: float) -> float:
+        u = a * y + b
+        eta = _eta_inner(u, c_g, c_b, beta)
+        if eta is None:
+            return 0.0 if u + c_g <= 0.0 else 1.0
+        return eta
+
+    return rest_point
+
+
+def _is_interior(eta: float) -> bool:
+    return EDGE_TOL < eta < 1.0 - EDGE_TOL
+
+
+def find_diagonal_equilibria(
+    params: ModelParams, *, scan_resolution: int = 1024
+) -> list[Equilibrium]:
+    """Interior fixed points of the full map on the diagonal, sorted ascending.
+
+    Each coordinate's update ``eta' - eta`` vanishes in (0, 1) exactly where
+    ``h(eta, u) = eta*(E1 - 1) + (1 - eta)*E1*(E2 - 1)`` does, with
+    ``E1 = exp(beta*(u - c_b))`` and ``E2 = exp(beta*(u + c_g))``. ``h`` is
+    linear in ``eta``; its root is the logit rest point ``_eta_inner(u)``
+    (Brock & Hommes 1997). Against an opponent at ``y`` the gap is
+    ``u = a*y + b``, so a point ``(x, y)`` is an interior fixed point exactly
+    when ``x = B(y)`` and ``y = B(x)`` for the rest-point map
+    ``B(y) = _eta_inner(a*y + b)``. On the diagonal that is ``B(y) = y``.
+
+    ``B(y) - y`` is scanned on the ``scan_resolution + 1`` points
+    ``i / scan_resolution`` including 0 and 1 (``B`` is finite there), and
+    every sign change is bisected. Roots within EDGE_TOL of the boundary
+    are not reported. Every returned point has residual
+    <= DIAGONAL_REFINE_TOL (tighter than the generic reporting bound);
+    candidates above it are dropped with a warning.
+    """
+    rest_point = _rest_point_map(params)
+    roots = _scan_roots(lambda y: rest_point(y) - y, scan_resolution, closed=True)
 
     out: list[Equilibrium] = []
-    for eta in _merge_sorted(roots):
+    for eta in _merge_sorted([r for r in roots if _is_interior(r)]):
         loc = State(eta, eta)
         residual = _fixed_point_residual(params, loc)
         if residual <= DIAGONAL_REFINE_TOL:
@@ -291,179 +325,46 @@ def find_diagonal_equilibria(
     return out
 
 
-def _interior_condition_grids(
-    params: ModelParams, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Evaluate the two interior-equilibrium conditions on an (n+1)^2 lattice.
-
-    A point (x, y) with both coordinates in (0, 1) is fixed iff
-    ``h(x, a*y + b) = 0`` and ``h(y, a*x + b) = 0`` where::
-
-        h(x, u) = x*(E1 - 1) + (1 - x)*E1*(E2 - 1)
-        E1 = exp(beta*(u - c_b)),  E2 = exp(beta*(u + c_g))
-
-    Returns (lattice, H1, H2) with H1[i, j] = h(x_i, a*y_j + b) and
-    H2[i, j] = h(y_j, a*x_i + b).
-    """
-    a, b = derived_coefficients(params)
-    c_g, c_b, beta = params.costs.c_g, params.costs.c_b, params.beta
-    xs = np.linspace(0.0, 1.0, n + 1)
-    u = a * xs + b
-    e1 = np.exp(np.clip(beta * (u - c_b), -EXP_CLAMP, EXP_CLAMP))
-    e2 = np.exp(np.clip(beta * (u + c_g), -EXP_CLAMP, EXP_CLAMP))
-    col = xs[:, None]
-    # h(x_i, u(y_j)): x varies down rows, the exponential factors across columns
-    h1 = col * (e1[None, :] - 1.0) + (1.0 - col) * e1[None, :] * (e2[None, :] - 1.0)
-    # h(y_j, u(x_i)): y varies across columns, factors down rows
-    row = xs[None, :]
-    h2 = row * (e1[:, None] - 1.0) + (1.0 - row) * e1[:, None] * (e2[:, None] - 1.0)
-    return xs, h1, h2
-
-
-def _newton_refine(
-    params: ModelParams, x0: float, y0: float
-) -> tuple[float, float, float] | None:
-    """Damped Newton iteration on the fixed-point defect from (x0, y0).
-
-    Returns (x, y, residual) on success, None on failure. Steps that leave
-    the open unit square or fail to shrink the defect are halved.
-    """
-    from .stability import jacobian  # deferred: stability imports this module
-
-    lo, hi = 1e-12, 1.0 - 1e-12
-
-    def defect(x: float, y: float) -> tuple[float, float]:
-        nxt = step_full(params, State(x, y))
-        return (nxt.eta1 - x, nxt.eta2 - y)
-
-    x, y = x0, y0
-    fx, fy = defect(x, y)
-    norm = max(abs(fx), abs(fy))
-    for _ in range(100):
-        if norm <= 1e-13:
-            return (x, y, norm)
-        j = jacobian(params, State(x, y))
-        m = np.array([[j[0, 0] - 1.0, j[0, 1]], [j[1, 0], j[1, 1] - 1.0]])
-        try:
-            dx, dy = np.linalg.solve(m, [-fx, -fy])
-        except np.linalg.LinAlgError:
-            return None
-        scale = 1.0
-        for _ in range(60):
-            xn = min(max(x + scale * dx, lo), hi)
-            yn = min(max(y + scale * dy, lo), hi)
-            fxn, fyn = defect(xn, yn)
-            norm_n = max(abs(fxn), abs(fyn))
-            if norm_n < norm:
-                x, y, fx, fy, norm = xn, yn, fxn, fyn, norm_n
-                break
-            scale *= 0.5
-        else:
-            return None
-    return (x, y, norm) if norm <= RESIDUAL_TOL else None
-
-
-def _segment_bisect_refine(
-    params: ModelParams,
-    corners: list[tuple[float, float]],
-    h1_vals: list[float],
-) -> tuple[float, float, float] | None:
-    """Fallback for a stubborn cell: bisect the first condition along the
-    segment joining two corners where it changes sign, then hand the point
-    back to the Newton polisher."""
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if (h1_vals[i] < 0.0) != (h1_vals[j] < 0.0):
-                (x0, y0), (x1, y1) = corners[i], corners[j]
-
-                def along(t: float) -> float:
-                    return _h_value(params, x0 + t * (x1 - x0), y0 + t * (y1 - y0))
-
-                t = _bisect(along, 0.0, 1.0, h1_vals[i])
-                return _newton_refine(
-                    params, x0 + t * (x1 - x0), y0 + t * (y1 - y0)
-                )
-    return None
-
-
-def _h_value(params: ModelParams, x: float, y: float) -> float:
-    """First interior condition h(x, a*y + b) at a single point."""
-    a, b = derived_coefficients(params)
-    u = a * y + b
-    e1 = math.exp(min(max(params.beta * (u - params.costs.c_b), -EXP_CLAMP), EXP_CLAMP))
-    e2 = math.exp(min(max(params.beta * (u + params.costs.c_g), -EXP_CLAMP), EXP_CLAMP))
-    return x * (e1 - 1.0) + (1.0 - x) * e1 * (e2 - 1.0)
-
-
 def find_inner_equilibria(
     params: ModelParams, scan_resolution: int = 256
 ) -> list[Equilibrium]:
     """All interior fixed points of the full map, diagonal or not.
 
-    Both interior-equilibrium conditions are evaluated on a scan lattice;
-    every cell where each condition changes sign is refined with damped
-    Newton iteration on the two-dimensional fixed-point defect (with a
-    segment-bisection fallback). Duplicates within MERGE_TOL are merged and
-    candidates that fail to reach RESIDUAL_TOL are dropped with a warning.
-    Results are sorted by location; the map's swap symmetry means interior
-    points appear in mirror pairs unless they sit on the diagonal.
+    With the rest-point map ``B`` of :func:`find_diagonal_equilibria`, a
+    point ``(x, y)`` is an interior fixed point exactly when ``y`` is a
+    root of ``B(B(y)) - y`` and ``x = B(y)``: diagonal points are fixed
+    points of ``B``, off-diagonal ones its 2-cycles. ``B(B(y)) - y`` is
+    scanned on the ``scan_resolution + 1`` points ``i / scan_resolution``
+    including 0 and 1, and every sign change is bisected; each root ``y``
+    gives the point ``(B(y), y)``. Points with a coordinate within EDGE_TOL
+    of the boundary (edge equilibria) are not reported, and candidates
+    above RESIDUAL_TOL are dropped with a warning. A point is labelled
+    DIAGONAL_INNER when ``|x - y| <= DIAGONAL_TOL``. Results are sorted by
+    location; the map's swap symmetry means interior points appear in
+    mirror pairs unless they sit on the diagonal.
     """
-    if scan_resolution < 64:
-        raise DomainError(f"scan_resolution must be >= 64, got {scan_resolution}")
-    n = scan_resolution
-    xs, h1, h2 = _interior_condition_grids(params, n)
+    rest_point = _rest_point_map(params)
+    roots = _scan_roots(
+        lambda y: rest_point(rest_point(y)) - y, scan_resolution, closed=True
+    )
 
-    neg1 = h1 < 0.0
-    neg2 = h2 < 0.0
-    # A cell is a candidate when neither condition keeps one sign on all
-    # four of its corners.
-    c1 = neg1[:-1, :-1] | neg1[1:, :-1] | neg1[:-1, 1:] | neg1[1:, 1:]
-    a1 = neg1[:-1, :-1] & neg1[1:, :-1] & neg1[:-1, 1:] & neg1[1:, 1:]
-    c2 = neg2[:-1, :-1] | neg2[1:, :-1] | neg2[:-1, 1:] | neg2[1:, 1:]
-    a2 = neg2[:-1, :-1] & neg2[1:, :-1] & neg2[:-1, 1:] & neg2[1:, 1:]
-    candidates = np.argwhere((c1 & ~a1) & (c2 & ~a2))
-
-    found: list[tuple[float, float, float]] = []
+    out: list[Equilibrium] = []
     dropped = 0
-    for i, j in candidates:
-        cx = 0.5 * (xs[i] + xs[i + 1])
-        cy = 0.5 * (xs[j] + xs[j + 1])
-        refined = _newton_refine(params, cx, cy)
-        if refined is None:
-            corners = [
-                (xs[i], xs[j]),
-                (xs[i + 1], xs[j]),
-                (xs[i], xs[j + 1]),
-                (xs[i + 1], xs[j + 1]),
-            ]
-            h1_vals = [float(h1[i, j]), float(h1[i + 1, j]), float(h1[i, j + 1]), float(h1[i + 1, j + 1])]
-            refined = _segment_bisect_refine(params, corners, h1_vals)
-        if refined is None:
+    for y in _merge_sorted(roots):
+        x = rest_point(y)
+        if not (_is_interior(x) and _is_interior(y)):
+            continue
+        loc = State(x, y)
+        residual = _fixed_point_residual(params, loc)
+        if residual > RESIDUAL_TOL:
             dropped += 1
             continue
-        found.append(refined)
+        diagonal = abs(x - y) <= DIAGONAL_TOL
+        kind = EquilibriumKind.DIAGONAL_INNER if diagonal else EquilibriumKind.OFF_DIAGONAL_INNER
+        out.append(Equilibrium(loc, kind, residual))
     if dropped:
-        logger.warning("dropped %d interior candidate cells that failed to refine", dropped)
-
-    # Merge duplicates (several cells can refine to the same root) and
-    # discard points that collapsed onto the boundary.
-    edge_tol = 1e-9
-    unique: list[tuple[float, float, float]] = []
-    for x, y, res in sorted(found):
-        if min(x, y) <= edge_tol or max(x, y) >= 1.0 - edge_tol:
-            continue
-        if any(max(abs(x - ux), abs(y - uy)) <= MERGE_TOL for ux, uy, _ in unique):
-            continue
-        unique.append((x, y, res))
-
-    out = []
-    for x, y, res in unique:
-        kind = (
-            EquilibriumKind.DIAGONAL_INNER
-            if abs(x - y) <= DIAGONAL_TOL
-            else EquilibriumKind.OFF_DIAGONAL_INNER
-        )
-        out.append(Equilibrium(State(x, y), kind, res))
+        logger.warning("dropped %d interior candidates above the residual bound", dropped)
+    out.sort(key=lambda eq: eq.location.as_tuple())
     return out
 
 
@@ -472,28 +373,18 @@ def find_period2_diagonal(
 ) -> list[Cycle2]:
     """Period-2 orbits of the diagonal restriction, sorted by lower point.
 
-    Scans the second-iterate defect ``g(g(eta)) - eta`` on an interior grid,
-    refines sign changes by bisection, and discards fixed points of ``g``
-    itself. Each orbit is reported once with point_a < point_b.
+    Scans the second-iterate defect ``g(g(eta)) - eta`` on the interior
+    grid ``i / scan_resolution``, ``0 < i < scan_resolution`` (``g - id``
+    vanishes at the vertices), refines sign changes by bisection, and
+    discards fixed points of ``g`` itself. These are orbits of the dynamics,
+    not 2-cycles of the rest-point map ``B``. Each orbit is reported once
+    with point_a < point_b.
     """
-    if scan_resolution < 64:
-        raise DomainError(f"scan_resolution must be >= 64, got {scan_resolution}")
 
     def defect2(eta: float) -> float:
         return _diagonal_step(params, _diagonal_step(params, eta)) - eta
 
-    n = scan_resolution
-    grid = [i / n for i in range(1, n)]
-    values = [defect2(x) for x in grid]
-    roots: list[float] = []
-    for k in range(len(grid) - 1):
-        f0, f1 = values[k], values[k + 1]
-        if f0 == 0.0:
-            roots.append(grid[k])
-        elif (f0 < 0.0) != (f1 < 0.0):
-            roots.append(_bisect(defect2, grid[k], grid[k + 1], f0))
-    if values and values[-1] == 0.0:
-        roots.append(grid[-1])
+    roots = _scan_roots(defect2, scan_resolution, closed=False)
 
     cycles: list[tuple[float, float, float]] = []
     for eta in roots:

@@ -44,9 +44,5 @@ class InvalidTaxError(ReplicatorLabError, ValueError):
     """A tax amount was negative."""
 
 
-class NonConvergenceError(ReplicatorLabError, RuntimeError):
-    """An iterative refinement failed to reach its residual target."""
-
-
 class InternalError(ReplicatorLabError, RuntimeError):
     """An internal invariant was violated; indicates a bug, not bad input."""

@@ -136,16 +136,6 @@ class ModelParams:
             beta=beta,
         )
 
-    @property
-    def a(self) -> float:
-        """Interaction coefficient of the brown-minus-green profit gap."""
-        return derived_coefficients(self)[0]
-
-    @property
-    def b(self) -> float:
-        """Baseline brown-minus-green profit gap (opponent all brown)."""
-        return derived_coefficients(self)[1]
-
 
 @dataclass(frozen=True)
 class Params1D:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .errors import InvalidTaxError, ValidationError
-from .model_core import ModelParams, Params1D, PayoffMatrix
+from .model_core import ModelParams, Params1D, PayoffMatrix, derived_coefficients
 from .stability import ScenarioId, classify_scenario
 
 
@@ -157,7 +157,7 @@ def ordering_scenarios(params: ModelParams) -> frozenset[ScenarioId]:
     """
     p = params.payoffs
     c_g, c_b = params.costs.c_g, params.costs.c_b
-    a = params.a
+    a, _ = derived_coefficients(params)
 
     if p.pi_gg > p.pi_gb > p.pi_bg > p.pi_bb:
         bound = max(p.pi_gb - p.pi_bb, p.pi_gg - p.pi_bg)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -192,6 +193,7 @@ def test_inner_equilibrium_is_interior_fixed_point_when_present(p):
 
 @given(p=params_1d_st())
 @example(p=Params1D.from_values(1.0, 1.0, 5e-324, 5e-324, 0.5))
+@example(p=Params1D.from_values(0.5, 1.375, 1.0, 1.0, 6.0))
 def test_inner_equilibrium_satisfies_defining_balance(p):
     # The closed form solves eta * expm1(beta*(-delta + c_b)) ==
     # (1 - eta) * expm1(beta*(delta + c_g)) with delta = pi_b - pi_g.
@@ -199,9 +201,22 @@ def test_inner_equilibrium_satisfies_defining_balance(p):
     if eta is None:
         return
     delta = p.pi_b - p.pi_g
-    lhs = eta * math.expm1(p.beta * (-delta + p.c_b))
-    rhs = (1.0 - eta) * math.expm1(p.beta * (delta + p.c_g))
-    assert lhs == pytest.approx(rhs, abs=1e-12, rel=1e-12)
+    n_brown = math.expm1(p.beta * (-delta + p.c_b))
+    n_green = math.expm1(p.beta * (delta + p.c_g))
+    lhs = eta * n_brown
+    rhs = (1.0 - eta) * n_green
+    tol = max(1e-12, 1e-12 * abs(rhs))
+    # One ulp of eta moves lhs - rhs by ulp(eta) * (n_green + n_brown).
+    if math.ulp(eta) * abs(n_green + n_brown) <= 0.1 * tol:
+        assert lhs == pytest.approx(rhs, abs=1e-12, rel=1e-12)
+        return
+    # Near eta = 1 one ulp exceeds the tolerance, so even the correctly
+    # rounded root can miss the balance (pi_g = 0.5, pi_b = 1.375, c = 1,
+    # beta = 6: by 1.7e-12). There eta must equal the exact root of the
+    # balance up to the error of one rounded sum and one rounded quotient.
+    exact = Fraction(n_green) / (Fraction(n_green) + Fraction(n_brown))
+    u = Fraction(2) ** -53
+    assert abs(Fraction(eta) - exact) <= exact * 2 * u / (1 - u)
 
 
 def test_eta_in_limits_reference_values():
@@ -275,6 +290,37 @@ def test_diagonal_finder_three_roots():
     assert all(e.location.eta1 == e.location.eta2 for e in eqs)
 
 
+def test_diagonal_finder_finds_root_inside_first_scan_cell():
+    # The root lies in (0, 1/1024); a scan that starts at the first interior
+    # grid point misses it. Value from a 30-digit mpmath bisection.
+    params = ModelParams.from_values(
+        0.8449201821673884, 2.4700989862599796, 2.1759014602562097,
+        1.780955783707901, 0.8167364359696581, 0.5490752688700263, 7.851126386518983,
+    )
+    etas = [e.location.eta1 for e in find_diagonal_equilibria(params)]
+    assert etas == pytest.approx([1.037927889542319e-4, 0.23846790503304627], rel=1e-12)
+
+
+def test_finders_report_one_point_near_green_vertex_at_high_beta():
+    # At beta ~ 37 the fixed-point conditions are nearly flat near (1, 1); a
+    # 30-digit mpmath scan of B(B(y)) - y finds one root in [0.985, 1), on
+    # the diagonal.
+    params = ModelParams.from_values(
+        2.833059750563584, 0.714564477717075, 2.612317003684025,
+        1.419701847278792, 0.9510229811957994, 0.3994252615788064, 37.47039406131172,
+    )
+    root = 0.9912671248413889
+    near = [
+        e for e in find_inner_equilibria(params)
+        if max(e.location.as_tuple()) >= 0.985
+    ]
+    assert len(near) == 1
+    assert near[0].kind is EquilibriumKind.DIAGONAL_INNER
+    assert near[0].location.as_tuple() == pytest.approx((root, root), abs=1e-12)
+    etas = [e.location.eta1 for e in find_diagonal_equilibria(params)]
+    assert etas == pytest.approx([root], abs=1e-12)
+
+
 def test_diagonal_finder_results_sorted_and_interior():
     rng = np.random.default_rng(4242)
     for _ in range(150):
@@ -308,8 +354,9 @@ def test_inner_finder_reports_swap_symmetric_sets():
 
 
 def test_inner_finder_agrees_with_diagonal_finder_on_the_diagonal():
-    for name in ("S1", "S3", "S9"):
-        params = SCENARIO_SETS[name]
+    rng = np.random.default_rng(2024)
+    draws = [random_model_params(rng, beta_range=(0.2, 8.0)) for _ in range(200)]
+    for params in [SCENARIO_SETS[name] for name in ("S1", "S3", "S9")] + draws:
         diag = sorted(e.location.eta1 for e in find_diagonal_equilibria(params))
         inner_diag = sorted(
             e.location.eta1
